@@ -13,7 +13,7 @@
 //! mirrors that: iterative removal of paths crossing over-used links,
 //! never shrinking a pair below a configured diversity floor.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tugal_routing::PathTable;
 use tugal_topology::{ChannelKind, Dragonfly, SwitchId};
 
@@ -94,8 +94,10 @@ pub fn adjust_local(table: &mut PathTable, topo: &Dragonfly, opts: &BalanceOptio
                 if pair.vlb.len() <= floor {
                     break;
                 }
-                // usage[position][channel] over the pair's candidates.
-                let mut usage: [HashMap<u32, usize>; 2] = [HashMap::new(), HashMap::new()];
+                // usage[position][channel] over the pair's candidates,
+                // ordered so the strict `>` below keeps the lowest
+                // (position, channel) among equal ratios.
+                let mut usage: [BTreeMap<u32, usize>; 2] = [BTreeMap::new(), BTreeMap::new()];
                 for p in &pair.vlb {
                     let mut gpos = 0;
                     for i in 0..p.hops() {
@@ -381,6 +383,34 @@ mod tests {
             report.removed_local + report.removed_global > 0,
             "{report:?}"
         );
+    }
+
+    #[test]
+    fn local_adjustment_is_deterministic_under_ties() {
+        // Equal over-use ratios must resolve to the lowest (position,
+        // channel) every time, not in hash order.
+        let t = Dragonfly::new(DragonflyParams::new(3, 6, 3, 7)).unwrap();
+        let rule = VlbRule::ClassLimit {
+            max_hops: 4,
+            frac_next: 0.6,
+        };
+        let build = || {
+            let mut table = PathTable::build_with_rule(&t, rule, 0x7065);
+            adjust(&mut table, &t, &BalanceOptions::default());
+            table
+        };
+        let (a, b) = (build(), build());
+        for s in 0..t.num_switches() as u32 {
+            for d in 0..t.num_switches() as u32 {
+                if s != d {
+                    assert_eq!(
+                        a.pair(SwitchId(s), SwitchId(d)).vlb,
+                        b.pair(SwitchId(s), SwitchId(d)).vlb,
+                        "pair ({s},{d})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -216,8 +216,22 @@ pub(crate) struct ShardOutcome {
     now: u64,
 }
 
-/// A configured simulation; [`Simulator::run`] executes it at one offered
-/// load.
+/// What one [`Simulator::run_job`] reports.
+#[derive(Debug)]
+pub struct JobReport {
+    /// The measurement.
+    pub result: SimResult,
+    /// The watchdog's report when it tripped (`None` when the watchdog is
+    /// off or never fired).
+    pub stall: Option<StallReport>,
+    /// Checkpoint writes/restores the run performed (empty with
+    /// `cfg.checkpoint = None`).
+    pub ckpt: Vec<CkptEvent>,
+}
+
+/// One simulation job's full specification — topology, candidate paths,
+/// traffic, routing, config (including the seed) and faults;
+/// [`Simulator::run_job`] executes it at one offered load.
 pub struct Simulator {
     pub(crate) topo: Arc<Dragonfly>,
     pub(crate) provider: Arc<dyn PathProvider>,
@@ -260,50 +274,39 @@ impl Simulator {
     /// configured cycles (see the `fault` module).  An empty schedule
     /// leaves the engine on the pristine fast path — results are
     /// bit-identical to a simulator without one.
-    pub fn with_faults(self, schedule: FaultSchedule) -> Self {
-        self.with_fault_schedule(Arc::new(schedule))
-    }
-
-    /// [`Simulator::with_faults`] for an already-shared schedule (sweeps
-    /// reuse one schedule across many jobs).
-    pub fn with_fault_schedule(mut self, schedule: Arc<FaultSchedule>) -> Self {
-        self.faults = Some(schedule);
+    pub fn with_faults(mut self, schedule: FaultSchedule) -> Self {
+        self.faults = Some(Arc::new(schedule));
         self
     }
 
     /// Runs the configured warmup + measurement windows at `rate`
     /// packets/cycle/node (`0 < rate ≤ 1`) in a freshly allocated
-    /// workspace.  Sweeps should prefer [`Simulator::run_with`] with a
-    /// reused [`SimWorkspace`].
+    /// workspace, unobserved and unprofiled: [`Simulator::run_job`] with
+    /// the no-op hooks, keeping only the result.
     pub fn run(&self, rate: f64) -> SimResult {
-        self.run_with(rate, &mut SimWorkspace::new())
+        self.run_job(
+            rate,
+            &mut SimWorkspace::new(),
+            &mut NoopObserver,
+            &mut NoopProfiler,
+        )
+        .result
     }
 
-    /// Like [`Simulator::run`], but executes inside `ws`, reusing its
-    /// allocations.  The workspace is reset first, so results are
-    /// identical whether `ws` is fresh or previously used (for any
-    /// topology/config/shard count — shape changes reallocate
-    /// transparently).
-    pub fn run_with(&self, rate: f64, ws: &mut SimWorkspace) -> SimResult {
-        self.run_observed(rate, ws, &mut NoopObserver)
-    }
-
-    /// Like [`Simulator::run_with`], with a [`SimObserver`] receiving
-    /// cycle-level events.  The engine is monomorphized per observer type;
-    /// the default [`NoopObserver`] compiles to the unobserved loop.
-    pub fn run_observed<O: SimObserver>(
-        &self,
-        rate: f64,
-        ws: &mut SimWorkspace,
-        obs: &mut O,
-    ) -> SimResult {
-        self.run_reported(rate, ws, obs).0
-    }
-
-    /// Like [`Simulator::run_observed`], additionally returning the
-    /// [`StallReport`] if the configured watchdog tripped (`None` when the
-    /// watchdog is off or never fired).  The `SimResult` is identical to
-    /// the one [`Simulator::run_observed`] returns for the same inputs.
+    /// Runs one job — the configured warmup + measurement windows at
+    /// `rate` with the seed in `cfg.seed` — and reports its result, the
+    /// watchdog's [`StallReport`] and the checkpoint events.
+    ///
+    /// The job executes inside `ws`, reusing its allocations; the
+    /// workspace is reset first, so results are identical whether `ws` is
+    /// fresh or previously used (for any topology/config/shard count —
+    /// shape changes reallocate transparently).
+    ///
+    /// `obs` receives cycle-level events and `prof` attributes each shard
+    /// worker's wall-clock to the cycle loop's phases.  The engine is
+    /// monomorphized per observer and profiler type: [`NoopObserver`] and
+    /// [`NoopProfiler`] compile to the bare loop, and neither hook ever
+    /// changes the result or stall report (pinned by `tests/profile.rs`).
     ///
     /// With `cfg.shards > 1` the run executes as that many shard workers
     /// (panicking if the count does not divide the topology's groups —
@@ -311,55 +314,26 @@ impl Simulator {
     /// the observer cannot fork ([`SimObserver::fork`] returns `None`)
     /// the run silently falls back to the sequential path, which is
     /// result-identical by the determinism contract.
-    pub fn run_reported<O: SimObserver>(
-        &self,
-        rate: f64,
-        ws: &mut SimWorkspace,
-        obs: &mut O,
-    ) -> (SimResult, Option<StallReport>) {
-        self.run_profiled(rate, ws, obs, &mut NoopProfiler)
-    }
-
-    /// Like [`Simulator::run_reported`], with an [`EngineProfiler`]
-    /// attributing each shard worker's wall-clock to the cycle loop's
-    /// phases and counting its boundary traffic.  The engine is
-    /// monomorphized per profiler type; [`NoopProfiler`] (what every other
-    /// entry point passes) compiles to the unprofiled loop, and a real
-    /// profiler ([`EngineProf`]) is observational only — the `SimResult`
-    /// and `StallReport` are bit-identical either way (pinned by
-    /// `tests/profile.rs`).
-    pub fn run_profiled<O: SimObserver, P: EngineProfiler>(
-        &self,
-        rate: f64,
-        ws: &mut SimWorkspace,
-        obs: &mut O,
-        prof: &mut P,
-    ) -> (SimResult, Option<StallReport>) {
-        let (result, stall, _) = self.run_instrumented(rate, ws, obs, prof);
-        (result, stall)
-    }
-
-    /// [`Simulator::run_profiled`] plus the checkpoint events
-    /// (writes/restores) the run performed, for trace-span emission.  With
-    /// `cfg.checkpoint = None` (the default) the event list is empty and
-    /// the run is bit-identical to one on a build without checkpointing.
     ///
-    /// With `Some`, the run first restores from the newest valid
-    /// checkpoint in the configured directory (cold-starting when there is
-    /// none), then writes a checkpoint every `every` cycles.  Restore is
-    /// bit-for-bit: the resumed run's result equals the uninterrupted
-    /// run's, at any valid shard count — the checkpoint is canonical
-    /// (keyed by group/channel ownership), so the writer's and reader's
-    /// shard counts are independent.  If the observer does not implement
-    /// [`SimObserver::snapshot`], checkpointing is disabled for the job
-    /// with a warning (results unaffected), mirroring the fork fallback.
-    pub(crate) fn run_instrumented<O: SimObserver, P: EngineProfiler>(
+    /// With `cfg.checkpoint = None` (the default) the event list is empty
+    /// and the run is bit-identical to one on a build without
+    /// checkpointing.  With `Some`, the run first restores from the newest
+    /// valid checkpoint in the configured directory (cold-starting when
+    /// there is none), then writes a checkpoint every `every` cycles.
+    /// Restore is bit-for-bit: the resumed run's result equals the
+    /// uninterrupted run's, at any valid shard count — the checkpoint is
+    /// canonical (keyed by group/channel ownership), so the writer's and
+    /// reader's shard counts are independent.  If the observer does not
+    /// implement [`SimObserver::snapshot`], checkpointing is disabled for
+    /// the job with a warning (results unaffected), mirroring the fork
+    /// fallback.
+    pub fn run_job<O: SimObserver, P: EngineProfiler>(
         &self,
         rate: f64,
         ws: &mut SimWorkspace,
         obs: &mut O,
         prof: &mut P,
-    ) -> (SimResult, Option<StallReport>, Vec<CkptEvent>) {
+    ) -> JobReport {
         assert!(
             rate > 0.0 && rate <= 1.0,
             "injection rate {rate} out of (0,1]"
@@ -622,7 +596,11 @@ impl Simulator {
         if let Some(ck) = &ckrun {
             ck_events.extend(ck.take_events());
         }
-        (result, stall, ck_events)
+        JobReport {
+            result,
+            stall,
+            ckpt: ck_events,
+        }
     }
 }
 

@@ -439,7 +439,7 @@ impl ShardState {
 /// instead of reallocating it.
 ///
 /// Create one with [`SimWorkspace::new`] and pass it to
-/// [`crate::Simulator::run_with`]; the sweep layer keeps one workspace per
+/// [`crate::Simulator::run_job`]; the sweep layer keeps one workspace per
 /// worker through a [`WorkspacePool`].
 #[derive(Default)]
 pub struct SimWorkspace {

@@ -308,19 +308,23 @@ fn latency_curve_is_monotonic_until_saturation() {
     let pattern: Arc<dyn TrafficPattern> = Arc::new(Uniform::new(&t));
     let provider = all_paths(&t);
     let cfg = quick(RoutingAlgorithm::UgalL);
-    let opts = SweepOptions {
-        seeds: vec![7],
-        resolution: 0.02,
-    };
-    let curve = latency_curve(
-        &t,
-        &provider,
-        &pattern,
-        RoutingAlgorithm::Min,
-        &cfg,
-        &[0.05, 0.2, 0.4],
-        &opts,
-    );
+    let runner = runner::ExperimentRunner::new(t.clone()).series(runner::SeriesSpec {
+        label: "min".into(),
+        provider,
+        pattern,
+        routing: RoutingAlgorithm::Min,
+        cfg,
+        faults: None,
+    });
+    let (mut curves, _, _) = runner
+        .run_recorded(&[0.05, 0.2, 0.4], &[7], |_| NoopObserver)
+        .unwrap();
+    let curve: Vec<CurvePoint> = curves
+        .remove(0)
+        .points
+        .into_iter()
+        .map(|p| p.point)
+        .collect();
     assert_eq!(curve.len(), 3);
     assert!(curve[0].result.avg_latency <= curve[1].result.avg_latency);
     assert!(curve[1].result.avg_latency <= curve[2].result.avg_latency);

@@ -13,8 +13,8 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 use tugal_netsim::{
-    CkptConfig, Config, NoopObserver, RoutingAlgorithm, SimObserver, SimWorkspace, Simulator,
-    WatchdogConfig,
+    CkptConfig, Config, NoopObserver, NoopProfiler, RoutingAlgorithm, SimObserver, SimWorkspace,
+    Simulator, WatchdogConfig,
 };
 use tugal_routing::TableProvider;
 use tugal_topology::{Dragonfly, DragonflyParams};
@@ -278,18 +278,21 @@ impl SimObserver for NoSnapshot {
 #[test]
 fn non_snapshotting_observer_disables_checkpointing_without_perturbing_results() {
     let dir = tmp_dir("ckpt_no_snapshot_observer");
-    let run_with = |ckpt: Option<&std::path::Path>| {
+    let run_at = |ckpt: Option<&std::path::Path>| {
         let mut fix = Fixture::new(RoutingAlgorithm::UgalL, false);
         if let Some(d) = ckpt {
             fix = fix.ckpt(d, 600);
         }
         let mut obs = NoSnapshot::default();
         let mut ws = SimWorkspace::new();
-        let r = fix.build().run_observed(0.3, &mut ws, &mut obs);
+        let r = fix
+            .build()
+            .run_job(0.3, &mut ws, &mut obs, &mut NoopProfiler)
+            .result;
         (format!("{r:?}"), obs.events)
     };
-    let (plain_r, plain_ev) = run_with(None);
-    let (ckpt_r, ckpt_ev) = run_with(Some(&dir));
+    let (plain_r, plain_ev) = run_at(None);
+    let (ckpt_r, ckpt_ev) = run_at(Some(&dir));
     assert_eq!(ckpt_r, plain_r);
     assert_eq!(ckpt_ev, plain_ev);
     assert!(
@@ -309,19 +312,21 @@ fn restore_resumes_workspace_reuse_and_noop_observer_paths() {
         "{:?}",
         Fixture::new(RoutingAlgorithm::Par, true)
             .build()
-            .run_observed(0.15, &mut ws, &mut NoopObserver)
+            .run_job(0.15, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+            .result
     );
     let _ = Fixture::new(RoutingAlgorithm::Par, true)
         .ckpt(&dir, 600)
         .killed_at(1900)
         .build()
-        .run_observed(0.15, &mut ws, &mut NoopObserver);
+        .run_job(0.15, &mut ws, &mut NoopObserver, &mut NoopProfiler);
     let resumed = format!(
         "{:?}",
         Fixture::new(RoutingAlgorithm::Par, true)
             .ckpt(&dir, 600)
             .build()
-            .run_observed(0.15, &mut ws, &mut NoopObserver)
+            .run_job(0.15, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+            .result
     );
     assert_eq!(resumed, golden, "workspace reuse across restore diverged");
 }

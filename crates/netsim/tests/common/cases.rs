@@ -49,6 +49,18 @@ fn run(routing: RoutingAlgorithm, adversarial: bool, seed: u64, rate: f64) -> Si
     simulator(routing, adversarial, seed).run(rate)
 }
 
+/// One unobserved, unprofiled job inside the caller's (reused) workspace.
+#[allow(dead_code)]
+fn run_in(sim: &Simulator, rate: f64, ws: &mut SimWorkspace) -> SimResult {
+    sim.run_job(
+        rate,
+        ws,
+        &mut tugal_netsim::NoopObserver,
+        &mut tugal_netsim::NoopProfiler,
+    )
+    .result
+}
+
 // Degraded-run fixtures, shared by golden_faults.rs and shard_parity.rs.
 // Full paths instead of `use` lines so includers that never touch faults
 // pick up no unused imports.

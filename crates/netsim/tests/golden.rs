@@ -38,12 +38,19 @@ fn zoo_golden_results_bit_for_bit() {
 
 #[test]
 fn golden_results_with_an_explicit_noop_observer() {
-    // The observer seam must be invisible: the monomorphized NoopObserver
-    // engine reproduces the pre-refactor fixtures bit-for-bit.
-    use tugal_netsim::NoopObserver;
-    let mut ws = SimWorkspace::new();
+    // The observer and profiler seams must be invisible: the
+    // monomorphized no-op engine reproduces the pre-refactor fixtures
+    // bit-for-bit.
+    use tugal_netsim::{NoopObserver, NoopProfiler};
     for (routing, adversarial, rate, expected) in CASES {
-        let r = simulator(routing, adversarial, 7).run_observed(rate, &mut ws, &mut NoopObserver);
+        let r = simulator(routing, adversarial, 7)
+            .run_job(
+                rate,
+                &mut SimWorkspace::new(),
+                &mut NoopObserver,
+                &mut NoopProfiler,
+            )
+            .result;
         assert_eq!(
             format!("{r:?}"),
             expected,
@@ -59,7 +66,7 @@ fn golden_results_through_a_reused_workspace() {
     // pre-refactor fixtures bit-for-bit.
     let mut ws = SimWorkspace::new();
     for (routing, adversarial, rate, expected) in CASES {
-        let r = simulator(routing, adversarial, 7).run_with(rate, &mut ws);
+        let r = run_in(&simulator(routing, adversarial, 7), rate, &mut ws);
         assert_eq!(
             format!("{r:?}"),
             expected,

@@ -38,9 +38,9 @@ fn degraded_golden_results_bit_for_bit() {
 fn degraded_golden_results_through_a_reused_workspace() {
     let mut ws = SimWorkspace::new();
     for (scenario, adversarial, rate, expected) in FAULT_CASES {
-        let r = simulator(RoutingAlgorithm::UgalL, adversarial, 7)
-            .with_faults(schedule_of(scenario))
-            .run_with(rate, &mut ws);
+        let sim =
+            simulator(RoutingAlgorithm::UgalL, adversarial, 7).with_faults(schedule_of(scenario));
+        let r = run_in(&sim, rate, &mut ws);
         assert_eq!(
             format!("{r:?}"),
             expected,

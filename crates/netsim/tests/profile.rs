@@ -8,7 +8,9 @@
 
 include!("common/cases.rs");
 
-use tugal_netsim::{EngineProf, NoopObserver, Phase, StallKind, WatchdogConfig};
+use tugal_netsim::{
+    EngineProf, JobReport, NoopObserver, NoopProfiler, Phase, StallKind, WatchdogConfig,
+};
 
 /// An 8-group dragonfly (as in `shard_parity.rs`) so 2-, 4- and 8-way
 /// splits all exist.
@@ -35,14 +37,15 @@ fn sim8p(
 fn run_with_prof(sim: &Simulator, rate: f64) -> (String, EngineProf) {
     let mut prof = EngineProf::new();
     let mut ws = SimWorkspace::new();
-    let (r, stall) = sim.run_profiled(rate, &mut ws, &mut NoopObserver, &mut prof);
-    (format!("{r:?}|{stall:?}"), prof)
+    let JobReport { result, stall, .. } = sim.run_job(rate, &mut ws, &mut NoopObserver, &mut prof);
+    (format!("{result:?}|{stall:?}"), prof)
 }
 
 fn run_without_prof(sim: &Simulator, rate: f64) -> String {
     let mut ws = SimWorkspace::new();
-    let (r, stall) = sim.run_reported(rate, &mut ws, &mut NoopObserver);
-    format!("{r:?}|{stall:?}")
+    let JobReport { result, stall, .. } =
+        sim.run_job(rate, &mut ws, &mut NoopObserver, &mut NoopProfiler);
+    format!("{result:?}|{stall:?}")
 }
 
 #[test]
@@ -54,7 +57,9 @@ fn profiled_runs_reproduce_every_pristine_golden_case() {
             let sim = simulator_sharded(routing, adversarial, 7, shards);
             let mut prof = EngineProf::new();
             let mut ws = SimWorkspace::new();
-            let (r, _) = sim.run_profiled(rate, &mut ws, &mut NoopObserver, &mut prof);
+            let r = sim
+                .run_job(rate, &mut ws, &mut NoopObserver, &mut prof)
+                .result;
             assert_eq!(
                 format!("{r:?}"),
                 expected,
@@ -217,7 +222,9 @@ fn flight_recorder_captures_the_cycles_before_a_trip() {
     for shards in [1, 4] {
         let sim = sim8p(RoutingAlgorithm::UgalL, false, shards, Some(wd));
         let mut ws = SimWorkspace::new();
-        let (_, stall) = sim.run_reported(0.3, &mut ws, &mut NoopObserver);
+        let stall = sim
+            .run_job(0.3, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+            .stall;
         let stall = stall.expect("cycle ceiling must trip");
         assert_eq!(stall.kind, StallKind::CycleCeiling);
         assert!(!stall.recent.is_empty());

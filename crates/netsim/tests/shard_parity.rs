@@ -11,7 +11,7 @@
 
 include!("common/cases.rs");
 
-use tugal_netsim::{NoopObserver, SimObserver, StallKind, WatchdogConfig};
+use tugal_netsim::{NoopObserver, NoopProfiler, SimObserver, StallKind, WatchdogConfig};
 use tugal_topology::NodeId;
 
 #[test]
@@ -213,8 +213,8 @@ fn watchdog_trips_identically_at_every_shard_count() {
         };
         let sim = sim8_watched(RoutingAlgorithm::UgalL, false, shards, Some(wd));
         let mut ws = SimWorkspace::new();
-        let (r, stall) = sim.run_reported(0.3, &mut ws, &mut NoopObserver);
-        (format!("{r:?}"), format!("{stall:?}"))
+        let job = sim.run_job(0.3, &mut ws, &mut NoopObserver, &mut NoopProfiler);
+        (format!("{:?}", job.result), format!("{:?}", job.stall))
     };
     let (seq_r, seq_stall) = run_at(1);
     assert!(
@@ -304,7 +304,9 @@ fn forked_observers_see_the_same_event_totals() {
     let run_counted = |shards: u32| {
         let mut obs = Counter::default();
         let mut ws = SimWorkspace::new();
-        let r = sim8(RoutingAlgorithm::Par, true, shards).run_observed(0.15, &mut ws, &mut obs);
+        let r = sim8(RoutingAlgorithm::Par, true, shards)
+            .run_job(0.15, &mut ws, &mut obs, &mut NoopProfiler)
+            .result;
         (format!("{r:?}"), obs)
     };
     let (seq_r, seq_obs) = run_counted(1);
@@ -335,7 +337,9 @@ fn non_forking_observer_falls_back_to_an_identical_sequential_run() {
     let run_traced = |shards: u32| {
         let mut obs = Trace::default();
         let mut ws = SimWorkspace::new();
-        let r = sim8(RoutingAlgorithm::UgalL, false, shards).run_observed(0.3, &mut ws, &mut obs);
+        let r = sim8(RoutingAlgorithm::UgalL, false, shards)
+            .run_job(0.3, &mut ws, &mut obs, &mut NoopProfiler)
+            .result;
         (format!("{r:?}"), obs)
     };
     let (seq_r, seq_obs) = run_traced(1);
@@ -373,7 +377,8 @@ fn conservation_holds_at_every_shard_count() {
         };
         let sim = sim8_watched(RoutingAlgorithm::UgalG, false, shards, Some(wd));
         let mut ws = SimWorkspace::new();
-        let (r, stall) = sim.run_reported(0.3, &mut ws, &mut NoopObserver);
+        let job = sim.run_job(0.3, &mut ws, &mut NoopObserver, &mut NoopProfiler);
+        let (r, stall) = (job.result, job.stall);
         assert!(
             stall.is_none(),
             "conservation tripped at {shards} shards: {stall:?}"
@@ -395,6 +400,8 @@ fn stallkind_is_shared_between_shard_counts() {
     };
     let sim = sim8_watched(RoutingAlgorithm::Min, false, 2, Some(wd));
     let mut ws = SimWorkspace::new();
-    let (_, stall) = sim.run_reported(0.2, &mut ws, &mut NoopObserver);
+    let stall = sim
+        .run_job(0.2, &mut ws, &mut NoopObserver, &mut NoopProfiler)
+        .stall;
     assert_eq!(stall.map(|s| s.kind), Some(StallKind::CycleCeiling));
 }

@@ -15,7 +15,9 @@
 include!("common/cases.rs");
 
 use tugal_netsim::runner::{ExperimentRunner, JobBudget, JobOutcome, SeriesSpec};
-use tugal_netsim::{FaultSchedule, NoopObserver, StallKind, WatchdogConfig};
+use tugal_netsim::{
+    FaultSchedule, JobReport, NoopObserver, NoopProfiler, StallKind, WatchdogConfig,
+};
 use tugal_topology::FaultSet;
 
 /// Like `simulator`, with a watchdog armed.
@@ -38,6 +40,16 @@ fn watchdog_sim(
     Simulator::new(topo, provider, pattern, routing, cfg)
 }
 
+/// One unobserved job in a fresh workspace, with its stall report.
+fn job(sim: &Simulator, rate: f64) -> JobReport {
+    sim.run_job(
+        rate,
+        &mut SimWorkspace::new(),
+        &mut NoopObserver,
+        &mut NoopProfiler,
+    )
+}
+
 /// Checks that never trip on a healthy run, but do run every cycle.
 fn generous() -> WatchdogConfig {
     WatchdogConfig {
@@ -53,7 +65,7 @@ fn generous() -> WatchdogConfig {
 fn armed_watchdog_reproduces_pristine_goldens() {
     for (routing, adversarial, rate, expected) in CASES {
         let sim = watchdog_sim(routing, adversarial, 7, generous());
-        let (result, stall) = sim.run_reported(rate, &mut SimWorkspace::new(), &mut NoopObserver);
+        let JobReport { result, stall, .. } = job(&sim, rate);
         assert!(
             stall.is_none(),
             "{routing:?} adversarial={adversarial}: generous watchdog tripped: {stall:?}"
@@ -73,9 +85,14 @@ fn armed_watchdog_reproduces_faulted_run() {
     let plain = simulator(RoutingAlgorithm::UgalL, true, 7)
         .with_faults(schedule())
         .run(0.15);
-    let (armed, stall) = watchdog_sim(RoutingAlgorithm::UgalL, true, 7, generous())
-        .with_faults(schedule())
-        .run_reported(0.15, &mut SimWorkspace::new(), &mut NoopObserver);
+    let JobReport {
+        result: armed,
+        stall,
+        ..
+    } = job(
+        &watchdog_sim(RoutingAlgorithm::UgalL, true, 7, generous()).with_faults(schedule()),
+        0.15,
+    );
     assert!(
         stall.is_none(),
         "watchdog tripped on a degraded run: {stall:?}"
@@ -100,9 +117,11 @@ fn livelock_trips_forward_progress_check() {
         wall_limit_ms: 0,
         flight_recorder: 0,
     };
-    let (result, stall) = watchdog_sim(RoutingAlgorithm::UgalL, true, 7, wd)
-        .with_faults(FaultSchedule::immediate(dead))
-        .run_reported(0.05, &mut SimWorkspace::new(), &mut NoopObserver);
+    let JobReport { result, stall, .. } = job(
+        &watchdog_sim(RoutingAlgorithm::UgalL, true, 7, wd)
+            .with_faults(FaultSchedule::immediate(dead)),
+        0.05,
+    );
     let stall = stall.expect("severed network must trip the watchdog");
     assert_eq!(stall.kind, StallKind::Livelock);
     assert!(
@@ -135,11 +154,7 @@ fn cycle_ceiling_trips_at_the_configured_cycle() {
         wall_limit_ms: 0,
         flight_recorder: 0,
     };
-    let (_, stall) = watchdog_sim(RoutingAlgorithm::UgalL, false, 7, wd).run_reported(
-        0.2,
-        &mut SimWorkspace::new(),
-        &mut NoopObserver,
-    );
+    let stall = job(&watchdog_sim(RoutingAlgorithm::UgalL, false, 7, wd), 0.2).stall;
     let stall = stall.expect("cycle ceiling must trip");
     assert_eq!(stall.kind, StallKind::CycleCeiling);
     assert!(stall.cycle < 1_000, "tripped at {}", stall.cycle);

@@ -5,10 +5,10 @@
 use std::sync::Arc;
 use tugal_netsim::runner::{ExperimentRunner, SeriesSpec};
 use tugal_netsim::{
-    aggregate_runs, latency_curve, saturation_throughput, Config, NoopObserver, RoutingAlgorithm,
-    SimObserver, SimResult, SimWorkspace, Simulator, SweepOptions, WorkspacePool,
+    aggregate_runs, saturation_throughput, Config, CurvePoint, NoopObserver, NoopProfiler,
+    RoutingAlgorithm, SimObserver, SimResult, SimWorkspace, Simulator, SweepOptions, WorkspacePool,
 };
-use tugal_routing::TableProvider;
+use tugal_routing::{PathProvider, TableProvider};
 use tugal_topology::{Dragonfly, DragonflyParams, NodeId};
 use tugal_traffic::{Shift, TrafficPattern, Uniform};
 
@@ -24,6 +24,39 @@ fn simulator(t: &Arc<Dragonfly>, routing: RoutingAlgorithm, seed: u64) -> Simula
     Simulator::new(t.clone(), provider, pattern, routing, cfg)
 }
 
+/// One unobserved job inside `ws`.
+fn run_in(sim: &Simulator, rate: f64, ws: &mut SimWorkspace) -> SimResult {
+    sim.run_job(rate, ws, &mut NoopObserver, &mut NoopProfiler)
+        .result
+}
+
+/// A one-series latency curve through the runner.
+fn curve(
+    t: &Arc<Dragonfly>,
+    provider: &Arc<dyn PathProvider>,
+    pattern: &Arc<dyn TrafficPattern>,
+    routing: RoutingAlgorithm,
+    cfg: &Config,
+    rates: &[f64],
+    seeds: &[u64],
+) -> Vec<CurvePoint> {
+    let runner = ExperimentRunner::new(t.clone()).series(SeriesSpec {
+        label: routing.name().to_string(),
+        provider: provider.clone(),
+        pattern: pattern.clone(),
+        routing,
+        cfg: cfg.clone(),
+        faults: None,
+    });
+    let (mut curves, _, _) = runner.run_recorded(rates, seeds, |_| NoopObserver).unwrap();
+    curves
+        .remove(0)
+        .points
+        .into_iter()
+        .map(|p| p.point)
+        .collect()
+}
+
 #[test]
 fn fresh_and_reused_workspace_agree() {
     let t = topo(2, 4, 2, 5);
@@ -31,11 +64,11 @@ fn fresh_and_reused_workspace_agree() {
     let fresh = sim.run(0.2);
 
     let mut ws = SimWorkspace::new();
-    let first = sim.run_with(0.2, &mut ws);
+    let first = run_in(&sim, 0.2, &mut ws);
     // Dirty the workspace with a different routing/rate, then repeat.
     let other = simulator(&t, RoutingAlgorithm::Par, 3);
-    let _ = other.run_with(0.35, &mut ws);
-    let reused = sim.run_with(0.2, &mut ws);
+    let _ = run_in(&other, 0.35, &mut ws);
+    let reused = run_in(&sim, 0.2, &mut ws);
 
     assert_eq!(fresh, first, "fresh workspace must match Simulator::run");
     assert_eq!(fresh, reused, "reused workspace must match a fresh one");
@@ -53,9 +86,9 @@ fn workspace_survives_shape_changes() {
     let fresh_large = sim_large.run(0.1);
 
     let mut ws = SimWorkspace::new();
-    assert_eq!(sim_small.run_with(0.1, &mut ws), fresh_small);
-    assert_eq!(sim_large.run_with(0.1, &mut ws), fresh_large);
-    assert_eq!(sim_small.run_with(0.1, &mut ws), fresh_small);
+    assert_eq!(run_in(&sim_small, 0.1, &mut ws), fresh_small);
+    assert_eq!(run_in(&sim_large, 0.1, &mut ws), fresh_large);
+    assert_eq!(run_in(&sim_small, 0.1, &mut ws), fresh_small);
 }
 
 #[test]
@@ -65,29 +98,11 @@ fn latency_curve_is_repeatable() {
         Arc::new(TableProvider::all_paths(t.clone()));
     let pattern: Arc<dyn TrafficPattern> = Arc::new(Uniform::new(&t));
     let cfg = Config::quick().for_routing(RoutingAlgorithm::UgalL);
-    let opts = SweepOptions {
-        seeds: vec![1, 2],
-        resolution: 0.02,
-    };
     let rates = [0.1, 0.25];
-    let a = latency_curve(
-        &t,
-        &provider,
-        &pattern,
-        RoutingAlgorithm::UgalL,
-        &cfg,
-        &rates,
-        &opts,
-    );
-    let b = latency_curve(
-        &t,
-        &provider,
-        &pattern,
-        RoutingAlgorithm::UgalL,
-        &cfg,
-        &rates,
-        &opts,
-    );
+    let seeds = [1, 2];
+    let routing = RoutingAlgorithm::UgalL;
+    let a = curve(&t, &provider, &pattern, routing, &cfg, &rates, &seeds);
+    let b = curve(&t, &provider, &pattern, routing, &cfg, &rates, &seeds);
     assert_eq!(a.len(), b.len());
     for (pa, pb) in a.iter().zip(&b) {
         assert_eq!(pa.rate, pb.rate);
@@ -111,21 +126,21 @@ fn bisection_is_bounded_by_the_grid() {
         resolution: 0.02,
     };
     let rates = [0.05, 0.1, 0.15, 0.2];
-    let curve = latency_curve(
+    let grid = curve(
         &t,
         &provider,
         &pattern,
         RoutingAlgorithm::Min,
         &cfg,
         &rates,
-        &opts,
+        &opts.seeds,
     );
-    let last_unsat = curve
+    let last_unsat = grid
         .iter()
         .take_while(|p| !p.result.saturated)
         .map(|p| p.rate)
         .fold(0.0, f64::max);
-    let first_sat = curve
+    let first_sat = grid
         .iter()
         .find(|p| p.result.saturated)
         .map(|p| p.rate)
@@ -144,7 +159,7 @@ fn bisection_is_bounded_by_the_grid() {
 #[test]
 fn runner_matches_per_series_curves() {
     // The flat (series × rate × seed) schedule must produce exactly the
-    // per-series latency_curve results.
+    // aggregate of independently run jobs.
     let t = topo(2, 4, 2, 5);
     let provider: Arc<dyn tugal_routing::PathProvider> =
         Arc::new(TableProvider::all_paths(t.clone()));
@@ -163,27 +178,28 @@ fn runner_matches_per_series_curves() {
         });
     }
     assert_eq!(runner.job_count(&rates, &seeds), 2 * 2 * 2);
-    let curves = runner.run(&rates, &seeds);
+    let (curves, summary, _) = runner
+        .run_recorded(&rates, &seeds, |_| NoopObserver)
+        .unwrap();
     assert_eq!(curves.len(), 2);
-    let opts = SweepOptions {
-        seeds: seeds.to_vec(),
-        resolution: 0.02,
-    };
+    assert!(summary.sim_ms > 0.0);
     for (curve, routing) in curves
         .iter()
         .zip([RoutingAlgorithm::Min, RoutingAlgorithm::UgalL])
     {
-        let cfg = Config::quick().for_routing(routing);
-        let expect = latency_curve(&t, &provider, &pattern, routing, &cfg, &rates, &opts);
         assert_eq!(curve.label, routing.name());
-        for (got, want) in curve.points.iter().zip(&expect) {
+        for (got, &rate) in curve.points.iter().zip(&rates) {
+            let runs: Vec<SimResult> = seeds
+                .iter()
+                .map(|&seed| simulator(&t, routing, seed).run(rate))
+                .collect();
             assert_eq!(
-                got.result, want.result,
-                "{}: flat vs nested schedule",
+                got.point.result,
+                aggregate_runs(rate, &runs),
+                "{}: flat schedule vs independent jobs",
                 curve.label
             );
         }
-        assert!(curve.elapsed_ms() > 0.0);
     }
 }
 
@@ -193,9 +209,9 @@ fn workspace_pool_parks_and_reuses() {
     assert_eq!(pool.idle(), 0);
     let t = topo(2, 4, 2, 5);
     let sim = simulator(&t, RoutingAlgorithm::Min, 1);
-    let a = pool.with(|ws| sim.run_with(0.1, ws));
+    let a = pool.with(|ws| run_in(&sim, 0.1, ws));
     assert_eq!(pool.idle(), 1, "the workspace must return to the pool");
-    let b = pool.with(|ws| sim.run_with(0.1, ws));
+    let b = pool.with(|ws| run_in(&sim, 0.1, ws));
     assert_eq!(pool.idle(), 1, "reused, not duplicated");
     assert_eq!(a, b);
 }
@@ -244,10 +260,12 @@ fn observer_sees_events_without_perturbing_the_run() {
 
     let mut ws = SimWorkspace::new();
     let mut counter = Counter::default();
-    let observed = sim.run_observed(0.2, &mut ws, &mut counter);
+    let observed = sim
+        .run_job(0.2, &mut ws, &mut counter, &mut NoopProfiler)
+        .result;
     assert_eq!(plain, observed, "observation must not change the physics");
 
-    let noop = sim.run_observed(0.2, &mut ws, &mut NoopObserver);
+    let noop = run_in(&sim, 0.2, &mut ws);
     assert_eq!(plain, noop);
 
     assert!(counter.window_opened);

@@ -2,8 +2,9 @@
 //! exercised exactly the way the examples and benches use the system.
 
 use std::sync::Arc;
+use tugal_suite::netsim::runner::{ExperimentRunner, SeriesSpec};
 use tugal_suite::netsim::{
-    latency_curve, saturation_throughput, Config, RoutingAlgorithm, Simulator, SweepOptions,
+    saturation_throughput, Config, NoopObserver, RoutingAlgorithm, Simulator, SweepOptions,
 };
 use tugal_suite::routing::VlbRule;
 use tugal_suite::topology::{Dragonfly, DragonflyParams};
@@ -55,30 +56,26 @@ fn tugal_dominates_ugal_on_dense_topology() {
     );
     // Low-load latency: T-UGAL should not be worse (it is usually better,
     // since misrouted packets take shorter VLB paths).
-    let low = 0.05;
-    let curve_u = latency_curve(
-        &t,
-        &conventional,
-        &pattern,
-        RoutingAlgorithm::UgalL,
-        &cfg,
-        &[low],
-        &opts,
-    );
-    let curve_t = latency_curve(
-        &t,
-        &result.provider,
-        &pattern,
-        RoutingAlgorithm::UgalL,
-        &cfg,
-        &[low],
-        &opts,
-    );
+    let mut runner = ExperimentRunner::new(t.clone());
+    for (label, provider) in [("UGAL-L", &conventional), ("T-UGAL-L", &result.provider)] {
+        runner = runner.series(SeriesSpec {
+            label: label.into(),
+            provider: provider.clone(),
+            pattern: pattern.clone(),
+            routing: RoutingAlgorithm::UgalL,
+            cfg: cfg.clone(),
+            faults: None,
+        });
+    }
+    let (curves, _, _) = runner
+        .run_recorded(&[0.05], &opts.seeds, |_| NoopObserver)
+        .unwrap();
+    let low_latency = |i: usize| curves[i].points[0].point.result.avg_latency;
     assert!(
-        curve_t[0].result.avg_latency <= curve_u[0].result.avg_latency + 2.0,
+        low_latency(1) <= low_latency(0) + 2.0,
         "low-load latency {} vs {}",
-        curve_t[0].result.avg_latency,
-        curve_u[0].result.avg_latency
+        low_latency(1),
+        low_latency(0)
     );
 }
 
