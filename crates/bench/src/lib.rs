@@ -298,29 +298,26 @@ pub fn tvlb_provider(topo: &Arc<Dragonfly>) -> (Arc<dyn PathProvider>, VlbRule) 
     record_digest(topo, &digest);
     let key = format!("{}{}|{digest}", topo.params(), topo.shape_suffix());
     if let Some(rule) = cache_lookup(&key) {
-        let mut table = tugal_routing::PathTable::build_with_rule(topo, rule, 0x7065);
-        if !rule.is_all() {
-            tugal::balance::adjust(&mut table, topo, &tugal::BalanceOptions::default());
-        }
+        let table = tugal::materialize(topo, rule, &cfg);
         let provider: Arc<dyn PathProvider> =
             Arc::new(tugal_routing::TableProvider::new(topo.clone(), table));
-        capsule::register_provider(&provider, tvlb_spec(rule));
+        capsule::register_provider(&provider, tvlb_spec(rule, &cfg));
         return (provider, rule);
     }
     let result = compute_tvlb(topo.clone(), &cfg);
     cache_store(&key, result.chosen);
-    capsule::register_provider(&result.provider, tvlb_spec(result.chosen));
+    capsule::register_provider(&result.provider, tvlb_spec(result.chosen, &cfg));
     (result.provider, result.chosen)
 }
 
-/// The capsule spec of a materialized T-VLB table: the cache's canonical
-/// reconstruction (rule table under seed `0x7065`, balance-adjusted unless
-/// the rule is all-paths).
-fn tvlb_spec(rule: VlbRule) -> capsule::ProviderSpec {
+/// The capsule spec of a materialized T-VLB table: [`tugal::materialize`]'s
+/// recipe (rule table under `cfg.seed`, balance-adjusted, every rule
+/// including all-paths).
+fn tvlb_spec(rule: VlbRule, cfg: &TUgalConfig) -> capsule::ProviderSpec {
     capsule::ProviderSpec::Rule {
         rule,
-        table_seed: 0x7065,
-        balanced: !rule.is_all(),
+        table_seed: cfg.seed,
+        balanced: true,
     }
 }
 

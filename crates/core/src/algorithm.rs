@@ -2,6 +2,7 @@
 
 use crate::balance::{self, BalanceOptions, BalanceReport};
 use crate::sweep::{candidate_regions, coarse_grain_sweep, SweepConfig, SweepOutcome};
+use rayon::prelude::*;
 use std::sync::Arc;
 use tugal_netsim::{saturation_throughput, Config as SimConfig, RoutingAlgorithm, SweepOptions};
 use tugal_routing::{PathProvider, PathTable, RuleProvider, TableProvider, VlbRule};
@@ -133,7 +134,35 @@ pub fn conventional_provider(
     }
 }
 
+/// Step 2's table recipe for one candidate: restrict `table` (an
+/// all-paths table) to `rule`, then balance-adjust it.
+fn restrict(
+    mut table: PathTable,
+    topo: &Dragonfly,
+    rule: VlbRule,
+    cfg: &TUgalConfig,
+) -> (PathTable, BalanceReport) {
+    table.apply_rule(topo, rule, cfg.seed);
+    let report = balance::adjust(&mut table, topo, &cfg.balance);
+    (table, report)
+}
+
+/// The explicit table [`compute_tvlb`] builds for `rule` under `cfg`:
+/// the rule table under `cfg.seed`, balance-adjusted with `cfg.balance`.
+/// Re-materialize a cached choice through this so it runs on the same
+/// table as the cold computation.
+pub fn materialize(topo: &Dragonfly, rule: VlbRule, cfg: &TUgalConfig) -> PathTable {
+    restrict(PathTable::build_all(topo), topo, rule, cfg).0
+}
+
 /// Runs Algorithm 1 and returns the T-VLB provider plus a full report.
+///
+/// Step 1 solves its Table-1 × pattern LPs in parallel.  Step 2 runs in
+/// two parallel phases: the candidate tables are derived from one shared
+/// all-paths enumeration (restrict, then balance-adjust), and the
+/// saturation searches run over every (candidate, evaluation pattern)
+/// pair.  Each candidate's score is summed in pattern order, so the
+/// report is bit-identical for any worker count.
 pub fn compute_tvlb(topo: Arc<Dragonfly>, cfg: &TUgalConfig) -> TUgalResult {
     // Step 1: coarse-grain model sweep (lines 8–12 of Algorithm 1).
     let sweep = coarse_grain_sweep(&topo, &cfg.sweep);
@@ -155,28 +184,76 @@ pub fn compute_tvlb(topo: Arc<Dragonfly>, cfg: &TUgalConfig) -> TUgalResult {
     // procedure converges to conventional UGAL by measurement, exactly as
     // the paper establishes it.
     let explicit = topo.num_switches() <= cfg.max_table_switches;
-    let mut scores: Vec<CandidateScore> = Vec::with_capacity(candidates.len());
-    let mut built: Vec<Arc<dyn PathProvider>> = Vec::with_capacity(candidates.len());
-    for &rule in &candidates {
-        let (provider, report): (Arc<dyn PathProvider>, Option<BalanceReport>) = if explicit {
-            let mut table = PathTable::build_with_rule(&topo, rule, cfg.seed);
-            let report = balance::adjust(&mut table, &topo, &cfg.balance);
-            (
-                Arc::new(TableProvider::new(topo.clone(), table)),
-                Some(report),
+    let (mut built, mean_hops_all) = if explicit {
+        let base = PathTable::build_all(&topo);
+        let built: Vec<_> = candidates
+            .par_iter()
+            .map(|&rule| {
+                let (table, report) = restrict(base.clone(), &topo, rule, cfg);
+                let provider = Arc::new(TableProvider::new(topo.clone(), table));
+                (provider as Arc<dyn PathProvider>, Some(report))
+            })
+            .collect();
+        (built, base.mean_vlb_hops())
+    } else {
+        let built = candidates
+            .iter()
+            .map(|&rule| {
+                let provider = Arc::new(RuleProvider::new(topo.clone(), rule));
+                (provider as Arc<dyn PathProvider>, None)
+            })
+            .collect();
+        let all = conventional_provider(topo.clone(), cfg.max_table_switches);
+        (built, all.mean_vlb_hops())
+    };
+
+    // Mean saturation throughput over TYPE_2 patterns (bisection per
+    // pattern, §3.3.3's "average throughput of the patterns").
+    let patterns: Vec<Arc<dyn TrafficPattern>> =
+        type_2_set(&topo, cfg.eval_patterns, cfg.seed ^ 0xABCD)
+            .into_iter()
+            .map(|p| Arc::new(p) as Arc<dyn TrafficPattern>)
+            .collect();
+    let sim_cfg = cfg.sim.clone().for_routing(cfg.routing);
+    let opts = SweepOptions {
+        seeds: vec![cfg.seed],
+        resolution: cfg.eval_resolution,
+    };
+    let np = patterns.len();
+    let jobs: Vec<usize> = (0..built.len() * np).collect();
+    let saturation: Vec<f64> = jobs
+        .par_iter()
+        .map(|&j| {
+            let provider = &built[j / np].0;
+            saturation_throughput(
+                &topo,
+                provider,
+                &patterns[j % np],
+                cfg.routing,
+                &sim_cfg,
+                &opts,
             )
-        } else {
-            (Arc::new(RuleProvider::new(topo.clone(), rule)), None)
-        };
-        let throughput = evaluate(&topo, &provider, cfg);
-        scores.push(CandidateScore {
-            rule,
-            throughput,
-            mean_vlb_hops: provider.mean_vlb_hops(),
-            balance: report,
-        });
-        built.push(provider);
-    }
+        })
+        .collect();
+    let scores: Vec<CandidateScore> = candidates
+        .iter()
+        .zip(&built)
+        .enumerate()
+        .map(|(c, (&rule, (provider, report)))| {
+            // Summed from 0.0 in pattern order, so the mean keeps its bits
+            // for any worker count.
+            let mut sum = 0.0;
+            for s in &saturation[c * np..(c + 1) * np] {
+                sum += s;
+            }
+            CandidateScore {
+                rule,
+                throughput: sum / np.max(1) as f64,
+                mean_vlb_hops: provider.mean_vlb_hops(),
+                balance: report.clone(),
+            }
+        })
+        .collect();
 
     // Highest mean saturation throughput wins; candidates within one
     // bisection step of each other are tied and the shorter set wins the
@@ -193,10 +270,9 @@ pub fn compute_tvlb(topo: Arc<Dragonfly>, cfg: &TUgalConfig) -> TUgalResult {
             }
         })
         .expect("at least one candidate");
-    let provider = built.swap_remove(best_idx);
+    let provider = built.swap_remove(best_idx).0;
     let chosen = scores[best_idx].rule;
 
-    let mean_hops_all = conventional_provider(topo.clone(), cfg.max_table_switches).mean_vlb_hops();
     let mean_hops_tvlb = provider.mean_vlb_hops();
     TUgalResult {
         provider,
@@ -209,24 +285,4 @@ pub fn compute_tvlb(topo: Arc<Dragonfly>, cfg: &TUgalConfig) -> TUgalResult {
             mean_hops_tvlb,
         },
     }
-}
-
-/// Simulates a candidate on TYPE_2 patterns: mean saturation throughput
-/// (bisection per pattern, §3.3.3's "average throughput of the patterns").
-fn evaluate(topo: &Arc<Dragonfly>, provider: &Arc<dyn PathProvider>, cfg: &TUgalConfig) -> f64 {
-    let patterns: Vec<Arc<dyn TrafficPattern>> =
-        type_2_set(topo, cfg.eval_patterns, cfg.seed ^ 0xABCD)
-            .into_iter()
-            .map(|p| Arc::new(p) as Arc<dyn TrafficPattern>)
-            .collect();
-    let sim_cfg = cfg.sim.clone().for_routing(cfg.routing);
-    let opts = SweepOptions {
-        seeds: vec![cfg.seed],
-        resolution: cfg.eval_resolution,
-    };
-    let mut sum = 0.0;
-    for pattern in &patterns {
-        sum += saturation_throughput(topo, provider, pattern, cfg.routing, &sim_cfg, &opts);
-    }
-    sum / patterns.len().max(1) as f64
 }

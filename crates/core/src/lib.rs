@@ -34,7 +34,9 @@ pub mod algorithm;
 pub mod balance;
 pub mod sweep;
 
-pub use algorithm::{compute_tvlb, conventional_provider, TUgalConfig, TUgalReport, TUgalResult};
+pub use algorithm::{
+    compute_tvlb, conventional_provider, materialize, TUgalConfig, TUgalReport, TUgalResult,
+};
 pub use balance::{BalanceOptions, BalanceReport};
 pub use sweep::{
     coarse_grain_sweep, coarse_grain_sweep_rules, table1_points, SweepConfig, SweepOutcome,

@@ -23,7 +23,7 @@ use tugal_suite::routing::{
     all_vlb_paths, min_paths, PathProvider, PathTable, RuleProvider, TableProvider,
 };
 use tugal_suite::topology::{ChannelKind, Dragonfly, DragonflyParams, SwitchId};
-use tugal_suite::tugal::{compute_tvlb, TUgalConfig};
+use tugal_suite::tugal::{compute_tvlb, materialize, TUgalConfig};
 
 fn usage() -> &'static str {
     "usage: tugal-cli <info|paths|model|tvlb|simulate> -t p,a,h,g [options]\n\
@@ -222,10 +222,7 @@ fn run(cmd: &str, args: Args) -> Result<(), String> {
                 if topo.num_switches() > 300 {
                     return Err("table export supported for <=300 switches".into());
                 }
-                let mut table = PathTable::build_with_rule(&topo, result.chosen, cfg.seed);
-                if !result.chosen.is_all() {
-                    tugal_suite::tugal::balance::adjust(&mut table, &topo, &cfg.balance);
-                }
+                let table = materialize(&topo, result.chosen, &cfg);
                 std::fs::write(&out, table.to_bytes())
                     .map_err(|e| format!("writing {out}: {e}"))?;
                 println!("T-VLB table written to {out}");
